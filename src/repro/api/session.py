@@ -74,12 +74,6 @@ class Session:
     backend_options: dict = field(default_factory=dict)
     #: how many non-winning candidates each job keeps (0 disables).
     keep_alternatives: int = 4
-    #: intra-search parallelism for every synthesizer this session
-    #: builds: each generation's frontier costing fans out over this
-    #: many processes (``0`` = one per CPU, ``1`` = serial).  Distinct
-    #: from ``synthesize_all(parallel=...)``, which parallelizes
-    #: *across* workloads.
-    workers: int = 1
     stats: SessionStats = field(default_factory=SessionStats)
     _synthesizers: dict = field(default_factory=dict, init=False, repr=False)
 
@@ -255,7 +249,6 @@ class Session:
         synthesizer = self._synthesizers.get(key)
         if synthesizer is None:
             synthesizer = self._synthesizers[key] = synthesizer_for(experiment)
-            synthesizer.workers = self.workers
         return synthesizer
 
     def _job_from_synthesis(

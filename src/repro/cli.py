@@ -78,14 +78,6 @@ def _build_parser() -> argparse.ArgumentParser:
             "--json", action="store_true",
             help="emit a machine-readable JSON record instead of text",
         )
-        cmd.add_argument(
-            "--jobs", type=int, default=1, metavar="N",
-            help=(
-                "worker processes for parallel frontier costing — and, "
-                "with an execution backend, partition-parallel runs "
-                "(0 = one per CPU, 1 = serial)"
-            ),
-        )
         if with_execution:
             cmd.add_argument(
                 "--backend", default="sim",
@@ -150,13 +142,6 @@ def _build_parser() -> argparse.ArgumentParser:
     exec_.add_argument(
         "--json", action="store_true",
         help="emit a machine-readable JSON record instead of text",
-    )
-    exec_.add_argument(
-        "--jobs", type=int, default=1, metavar="N",
-        help=(
-            "worker processes for partition-parallel execution on the "
-            "file/compiled backends (0 = one per CPU, 1 = serial)"
-        ),
     )
 
     check = sub.add_parser(
@@ -288,14 +273,6 @@ def _build_parser() -> argparse.ArgumentParser:
         help="do not persist counterexamples to the corpus",
     )
     fuzz.add_argument(
-        "--workers", type=int, default=0, metavar="N",
-        help=(
-            "additionally re-run every program on FileBackend with N "
-            "worker processes and require bag + counter parity against "
-            "the serial run (0 = skip the lane)"
-        ),
-    )
-    fuzz.add_argument(
         "--progress-every", type=int, default=50,
         help="print a progress line every N programs (0 = quiet)",
     )
@@ -303,7 +280,7 @@ def _build_parser() -> argparse.ArgumentParser:
         "--faults", type=int, default=None, metavar="SEED",
         help=(
             "chaos mode: run every generated program under seeded "
-            "fault injection across the file/compiled/parallel lanes; "
+            "fault injection across the file/compiled lanes; "
             "each run must recover with a byte-identical bag or fail "
             "with a clean positioned ExecutionFault (DESIGN.md §16)"
         ),
@@ -402,11 +379,7 @@ def _resolve_backend(args):
     from .runtime import get_backend
 
     options = (
-        {
-            "seed": args.seed,
-            "workdir": args.workdir,
-            "workers": getattr(args, "jobs", 1),
-        }
+        {"seed": args.seed, "workdir": args.workdir}
         if args.backend in ("file", "compiled")
         else {}
     )
@@ -427,9 +400,7 @@ def _cmd_run(args) -> int:
         return 2
     # The session's default backend is the chosen one, so a job saved
     # with --save-plan records it and `exec` replays on it by default.
-    session = Session(
-        strategy=args.strategy, backend=args.backend, workers=args.jobs
-    )
+    session = Session(strategy=args.strategy, backend=args.backend)
     job = _synthesize_job(args, session)
     if job is None:
         return 2
@@ -460,7 +431,7 @@ def _cmd_run(args) -> int:
 def _cmd_synth(args) -> int:
     from .api import Session
 
-    session = Session(strategy=args.strategy, workers=args.jobs)
+    session = Session(strategy=args.strategy)
     job = _synthesize_job(args, session)
     if job is None:
         return 2
@@ -705,7 +676,6 @@ def _cmd_fuzz_chaos(args) -> int:
         fault_seed=args.faults,
         variants=max(1, args.fault_variants),
         max_size=max(6, args.max_size),
-        workers=max(2, args.workers or 2),
         progress=progress,
     )
     print(result.summary())
@@ -732,16 +702,13 @@ def _cmd_fuzz(args) -> int:
     )
     from .ocal.printer import pretty
 
-    check_file = args.backend in ("both", "file", "compiled")
     oracle_config = OracleConfig(
         closure_depth=max(0, args.depth),
         closure_cap=max(1, args.closure_cap),
-        check_file=check_file,
+        check_file=args.backend in ("both", "file", "compiled"),
         check_compiled=args.backend in ("both", "compiled"),
         check_sim=args.backend in ("both", "sim"),
         check_cost=args.backend in ("both", "sim"),
-        check_workers=check_file and args.workers > 0,
-        workers=max(2, args.workers),
     )
     gen_config = GenConfig(max_size=max(6, args.max_size))
     shrunk_paths: list[str] = []

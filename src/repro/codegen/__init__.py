@@ -2,12 +2,9 @@
 
 The load-bearing lowering is :mod:`repro.codegen.py_codegen` — tuned
 programs compiled once into flat Python loop nests that the
-``compiled`` backend executes over the real block filestore.  The C
-emitter (:mod:`repro.codegen.c_codegen`) is deprecated: its output is
-illustrative text that never runs.
+``compiled`` backend executes over the real block filestore.
 """
 
-from .c_codegen import CCodeGenerator, CodegenError, generate_c
 from .plan import ExecutablePlan, PlanError, compile_candidate
 from .py_codegen import (
     CompiledExec,
@@ -18,9 +15,6 @@ from .py_codegen import (
 )
 
 __all__ = [
-    "CCodeGenerator",
-    "generate_c",
-    "CodegenError",
     "ExecutablePlan",
     "compile_candidate",
     "PlanError",

@@ -512,16 +512,6 @@ class _Emitter:
         self.line(f"if not isinstance({source}, (MemList, FileList)):")
         self.line("    raise ExecutionError('flatMap consumes a non-list')")
         inner = fn.fn
-        # Partition-parallel gate: same runtime hook as the interpreter,
-        # so compiled and interpreted runs dispatch identically; the
-        # inlined loop below is the serial (and NOT_PARALLEL) path.
-        par = self.assign(
-            f"rt.maybe_parallel_flatmap({self.node_const(inner)}, "
-            f"{source}, {self.env_expr()}, "
-            f"{sink if sink is not None else 'None'})"
-        )
-        self.line(f"if {par} is rt.NOT_PARALLEL:")
-        self.indent += 1
         own = sink if sink is not None else self.assign(
             "rt._builder('flatmap')"
         )
@@ -536,12 +526,9 @@ class _Emitter:
         self.list_into(inner.body, own)
         del self.bindings[mark:]
         self.indent -= 2
-        if sink is None:
-            self.line(f"{par} = {own}.finish()")
-        self.indent -= 1
         if sink is not None:
             return None
-        return par
+        return self.assign(f"{own}.finish()")
 
     def _app_fold(self, fn: FoldL, arg_node: Node) -> str:
         arg = self.as_temp(self.value(arg_node))

@@ -33,8 +33,8 @@ from .oracle import Oracle, OracleConfig, output_bag
 
 __all__ = ["LANES", "ChaosFailure", "ChaosResult", "run_chaos"]
 
-#: the three execution lanes every fault schedule is run through.
-LANES = ("file", "compiled", "parallel")
+#: the execution lanes every fault schedule is run through.
+LANES = ("file", "compiled")
 
 #: a plan that injects nothing — used for the fault-free baseline so a
 #: ``REPRO_FAULTS`` environment setting cannot leak into the reference.
@@ -111,14 +111,12 @@ class ChaosResult:
         }
 
 
-def _lane_backend(lane: str, values: dict, plan: FaultPlan, workers: int):
+def _lane_backend(lane: str, values: dict, plan: FaultPlan):
     common = dict(data=values, capture_output=True, faults=plan)
     if lane == "file":
         return FileBackend(**common)
     if lane == "compiled":
         return CompiledBackend(**common)
-    if lane == "parallel":
-        return FileBackend(workers=workers, **common)
     raise ValueError(f"unknown chaos lane {lane!r}")
 
 
@@ -140,7 +138,6 @@ def run_chaos(
     max_size: int = 40,
     lanes: tuple = LANES,
     rates: dict | None = None,
-    workers: int = 2,
     root_bytes: int = 512,
     progress=None,
 ) -> ChaosResult:
@@ -172,7 +169,6 @@ def run_chaos(
                 "file",
                 values,
                 FaultPlan(seed=0, rates=_ZERO_RATES, latency_seconds=0.0),
-                workers,
             )
             baseline.run(bound, specs, config)
             want = output_bag(baseline.last_output)
@@ -185,7 +181,7 @@ def run_chaos(
                 plan = _variant_plan(
                     fault_seed, index, lane_index, variant, rates
                 )
-                backend = _lane_backend(lane, values, plan, workers)
+                backend = _lane_backend(lane, values, plan)
                 result.pairs += 1
                 try:
                     backend.run(bound, specs, config)

@@ -88,12 +88,6 @@ class OracleConfig:
     check_compiled: bool = True
     check_sim: bool = True
     check_cost: bool = True
-    #: re-run every file-checked program on a partition-parallel
-    #: FileBackend and require bag + full measured-counter parity
-    #: against the serial run (DESIGN.md §13).
-    check_workers: bool = False
-    #: pool width for the ``check_workers`` lane.
-    workers: int = 2
     workdir: str | None = None
     file_seed: int = 0
 
@@ -121,7 +115,6 @@ class ProgramReport:
     closure_size: int = 0
     file_runs: int = 0
     compiled_runs: int = 0
-    workers_runs: int = 0
     sim_runs: int = 0
     cost_checked: bool = False
     failures: list[ConformanceFailure] = field(default_factory=list)
@@ -139,7 +132,6 @@ class BatchResult:
     closure_total: int = 0
     file_runs: int = 0
     compiled_runs: int = 0
-    workers_runs: int = 0
     sim_runs: int = 0
     cost_checked: int = 0
     cost_skipped: int = 0
@@ -152,13 +144,10 @@ class BatchResult:
 
     def summary(self) -> str:
         status = "ok" if self.ok else f"{len(self.failures)} FAILURE(S)"
-        workers = (
-            f"{self.workers_runs} parallel runs, " if self.workers_runs else ""
-        )
         return (
             f"{self.count} programs, {self.closure_total} closure members, "
             f"{self.file_runs} file runs, {self.compiled_runs} compiled "
-            f"runs, {workers}{self.sim_runs} sim runs, "
+            f"runs, {self.sim_runs} sim runs, "
             f"cost checked on {self.cost_checked} "
             f"(skipped {self.cost_skipped}) in {self.seconds:.1f}s — {status}"
         )
@@ -347,15 +336,6 @@ class Oracle:
                 )
                 if file_result is None:
                     return report
-            if (
-                cfg.check_workers
-                and file_result is not None
-                and not self._check_workers(
-                    report, gen, bound, chain, specs, values, want,
-                    file_result,
-                )
-            ):
-                return report
             if cfg.check_compiled and not self._check_compiled(
                 report, gen, bound, chain, specs, values, want, file_result
             ):
@@ -515,77 +495,6 @@ class Oracle:
             )
             return None
         return result
-
-    def _check_workers(
-        self,
-        report: ProgramReport,
-        gen: GeneratedProgram,
-        bound: Node,
-        chain: tuple[str, ...],
-        specs: dict[str, InputSpec],
-        values: dict[str, list],
-        want,
-        file_result,
-    ) -> bool:
-        """Partition-parallel FileBackend parity against the serial run.
-
-        The determinism contract (DESIGN.md §13) says a parallel run is
-        *observationally identical* to serial: same bag, same measured
-        per-device counters.  A ``NOT_PARALLEL`` fallback inside the
-        runtime satisfies this trivially — the lane still exercises the
-        encode/dispatch/replay path on every program that crosses the
-        chunking thresholds.
-        """
-        backend = FileBackend(
-            workdir=self.config.workdir,
-            seed=self.config.file_seed,
-            data=values,
-            capture_output=True,
-            workers=self.config.workers,
-        )
-        try:
-            result = backend.run(bound, specs, self._execution_config(gen))
-        except (ExecutionError, ValueError, RecursionError) as error:
-            self._fail(report, "workers-error", str(error), bound, chain)
-            return False
-        report.workers_runs += 1
-        got = output_bag(
-            backend.last_output, pair_swap="order-inputs" in chain
-        )
-        if got != want:
-            self._fail(
-                report,
-                "workers-divergence",
-                f"parallel FileBackend bag mismatch: {got!r} != {want!r}",
-                bound,
-                chain,
-            )
-            return False
-        for device in sorted(
-            set(file_result.stats.devices) | set(result.stats.devices)
-        ):
-            theirs = file_result.stats.device(device)
-            ours = result.stats.device(device)
-            for counter in (
-                "reads",
-                "writes",
-                "bytes_read",
-                "bytes_written",
-                "seeks",
-                "erases",
-            ):
-                if getattr(ours, counter) != getattr(theirs, counter):
-                    self._fail(
-                        report,
-                        "workers-counter-mismatch",
-                        f"{device}.{counter}: parallel "
-                        f"{getattr(ours, counter)} != serial "
-                        f"{getattr(theirs, counter)}",
-                        bound,
-                        chain,
-                    )
-                    return False
-        return True
 
     def _check_compiled(
         self,
@@ -793,7 +702,6 @@ def run_conformance(
         batch.closure_total += report.closure_size
         batch.file_runs += report.file_runs
         batch.compiled_runs += report.compiled_runs
-        batch.workers_runs += report.workers_runs
         batch.sim_runs += report.sim_runs
         if report.cost_checked:
             batch.cost_checked += 1

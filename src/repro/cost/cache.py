@@ -189,16 +189,6 @@ class CostMemo:
         return estimate
 
     # ------------------------------------------------------------------
-    def has_estimate(self, program: Node) -> bool:
-        """Whether *program*'s estimate (or failure) is already cached.
-
-        A pure peek: no counters move and nothing is computed.  The
-        parallel frontier coster uses it to keep memo-warm candidates
-        on the in-process fast path and ship only cold ones to workers.
-        """
-        return self._estimates.get(program) is not None
-
-    # ------------------------------------------------------------------
     def tune(
         self,
         estimate: CostEstimate,

@@ -1,12 +1,11 @@
 """The one worker-pool construction path (DESIGN.md §13).
 
-Every parallel lane in the repository — batch synthesis across
-workloads (``Session.synthesize_all``), parallel frontier costing
-inside one search (``Synthesizer(workers=N)``), and partition-parallel
-execution inside one run (``FileBackend(workers=N)``) — builds its
-process pool here, so policy lives in exactly one place:
+Both process pools in the repository — batch synthesis across
+workloads (``Session.synthesize_all(parallel=N)``) and the synthesis
+service's search workers (``PlanService(workers=N)``) — build their pool
+here, so policy lives in exactly one place:
 
-* **escape hatch** — ``REPRO_PARALLEL=0`` forces every lane serial,
+* **escape hatch** — ``REPRO_PARALLEL=0`` forces every pool user serial,
   regardless of any ``workers=`` option (read per call, so tests can
   monkeypatch the environment).  Precedence is deliberate and pinned by
   tests: the environment *always* wins over an explicit ``workers=N`` —
@@ -21,14 +20,11 @@ process pool here, so policy lives in exactly one place:
   (scheduling affinity, not raw core count);
 * **fork only** — pools use the ``fork`` start method (workers inherit
   interned AST tables and device descriptors for free); on platforms
-  without it every lane silently degrades to serial, which is always
-  semantically equivalent by the determinism contract;
-* **deterministic chunking** — :func:`chunk_slices` splits ``n`` items
-  into contiguous, near-equal, *ordered* slices, so results can be
-  merged back in input order no matter which worker finished first;
+  without it every user silently degrades to serial, which computes
+  the same results in one process;
 * **per-worker seeding** — :func:`worker_seed` derives a stable,
-  distinct seed per (base seed, worker index) for lanes that need
-  randomness inside workers.
+  distinct seed per (base seed, index) for callers that need
+  reproducible independent random streams.
 """
 
 from __future__ import annotations
@@ -46,7 +42,6 @@ __all__ = [
     "cpu_count",
     "fork_available",
     "resolve_workers",
-    "chunk_slices",
     "worker_seed",
     "PoolTaskTimeout",
     "WorkerPool",
@@ -56,7 +51,7 @@ __all__ = [
 ]
 
 #: setting this to ``0`` (or ``false``/``no``/``off``) disables every
-#: parallel lane in the repository.
+#: process pool in the repository.
 PARALLEL_ENV = "REPRO_PARALLEL"
 
 
@@ -76,12 +71,12 @@ def cpu_count() -> int:
 
 
 def fork_available() -> bool:
-    """Can we start workers by forking (required by every lane)?"""
+    """Can we start workers by forking (required by every pool)?"""
     return "fork" in multiprocessing.get_all_start_methods()
 
 
 def resolve_workers(workers: "int | None", task_count: "int | None" = None) -> int:
-    """Effective worker count for one parallel lane.
+    """Effective worker count for one pool user.
 
     ``None`` and ``1`` mean serial; ``0`` means auto (one worker per
     available CPU); ``N > 1`` means exactly ``N``.  The result is
@@ -103,27 +98,6 @@ def resolve_workers(workers: "int | None", task_count: "int | None" = None) -> i
     if workers > 1 and not (parallel_enabled() and fork_available()):
         return 1
     return max(1, workers)
-
-
-def chunk_slices(n: int, chunks: int) -> list[tuple[int, int]]:
-    """Split ``range(n)`` into ≤ ``chunks`` contiguous ``(lo, hi)`` slices.
-
-    Deterministic and order-preserving: concatenating the slices in
-    list order reproduces ``range(n)`` exactly, and sizes differ by at
-    most one (the first ``n % chunks`` slices are one longer).
-    """
-    n = max(0, int(n))
-    chunks = max(1, min(int(chunks), n) if n else 1)
-    if not n:
-        return []
-    base, extra = divmod(n, chunks)
-    out: list[tuple[int, int]] = []
-    lo = 0
-    for index in range(chunks):
-        hi = lo + base + (1 if index < extra else 0)
-        out.append((lo, hi))
-        lo = hi
-    return out
 
 
 def worker_seed(base_seed: int, index: int) -> int:
@@ -181,9 +155,7 @@ class WorkerPool:
     """The repository's only process-pool wrapper (fork start method).
 
     Ordered fan-out (:meth:`map_ordered`) over a
-    ``ProcessPoolExecutor``, with an optional per-worker initializer
-    for lanes that ship a one-time payload (the parallel frontier
-    coster's cost-model document).  Use as a context manager or call
+    ``ProcessPoolExecutor``.  Use as a context manager or call
     :meth:`close`.
 
     The pool survives worker death (DESIGN.md §16): a killed child
@@ -196,19 +168,12 @@ class WorkerPool:
     processes, not for failing tasks.
     """
 
-    def __init__(
-        self,
-        workers: int,
-        initializer=None,
-        initargs: tuple = (),
-    ) -> None:
+    def __init__(self, workers: int) -> None:
         if workers < 2:
             raise ValueError("WorkerPool needs at least 2 workers")
         if not fork_available():  # pragma: no cover - non-posix
             raise OSError("fork start method unavailable")
         self.workers = workers
-        self._initializer = initializer
-        self._initargs = initargs
         self._pool = self._spawn()
         self._closed = False
         #: times the broken executor was replaced with a fresh one.
@@ -221,8 +186,6 @@ class WorkerPool:
         return ProcessPoolExecutor(
             max_workers=self.workers,
             mp_context=multiprocessing.get_context("fork"),
-            initializer=self._initializer,
-            initargs=self._initargs,
         )
 
     def _respawn(self) -> None:
@@ -272,9 +235,9 @@ class WorkerPool:
     def map_ordered(self, fn, tasks, task_timeout: float | None = None) -> list:
         """Run ``fn`` over ``tasks``; results in input order.
 
-        A worker *exception* propagates to the caller (the lanes that
+        A worker *exception* propagates to the caller (callers that
         need graceful degradation catch inside the worker function and
-        return a bail marker instead).  Worker *death* does not: lost
+        return an error marker instead).  Worker *death* does not: lost
         tasks are re-run once on a respawned executor, then inline —
         see the class docstring.  With ``task_timeout`` set, a task
         exceeding the budget raises :class:`PoolTaskTimeout` after the

@@ -335,29 +335,6 @@ class FaultPlan:
             retry=RetryPolicy(**doc.get("retry", {})),
         )
 
-    def child(self, index: int) -> "FaultPlan":
-        """A derived plan for worker *index* of a partition-parallel run.
-
-        Child streams are seeded via :func:`repro.parallel.worker_seed`
-        so each worker faults independently but reproducibly.
-        ``fail_at`` triggers stay with the parent (worker request
-        ordinals are not comparable to serial ones).
-        """
-        from ..parallel import worker_seed
-
-        return FaultPlan(
-            seed=worker_seed(self.seed, index),
-            rates=self.rates,
-            device_rates=self.device_rates,
-            devices=self.devices,
-            latency_seconds=self.latency_seconds,
-            max_faults=self.max_faults,
-            retry=self.retry,
-        )
-
-    def child_doc(self, index: int) -> dict:
-        return self.child(index).to_doc()
-
     # -- injection ------------------------------------------------------
     def _rate(self, device: str, key: str) -> float:
         table = self.device_rates.get(device)

@@ -306,9 +306,6 @@ class _Evaluator(PrimitiveLibrary):
         source = _as_list(arg)
         if not isinstance(source, (MemList, FileList)):
             raise ExecutionError("flatMap consumes a non-list")
-        par = self.maybe_parallel_flatmap(fn, source, env, sink)
-        if par is not self.NOT_PARALLEL:
-            return None if sink is not None else par
         own_sink = sink if sink is not None else self._builder("flatmap")
         inner_fn = fn.fn
         if isinstance(inner_fn, Lam):
@@ -520,7 +517,6 @@ class FileBackend:
         keep_files: bool = False,
         data: dict[str, list] | None = None,
         capture_output: bool = False,
-        workers: int = 1,
         faults: "FaultPlan | None" = None,
     ) -> None:
         self.workdir = workdir
@@ -530,10 +526,6 @@ class FileBackend:
         #: :class:`~repro.runtime.faults.FaultPlan`, or ``None`` to read
         #: ``REPRO_FAULTS`` per run (unset = no injection).
         self.faults = faults
-        #: partition-parallel execution (DESIGN.md §13): ``0`` = one
-        #: worker per CPU, ``1`` = serial.  Counters, priced cost and
-        #: output bags are identical to serial by the replay contract.
-        self.workers = workers
         #: concrete per-input values overriding seeded generation — the
         #: conformance oracle injects the exact lists the reference
         #: interpreter ran on, so outputs are comparable element-wise.
@@ -566,13 +558,8 @@ class FileBackend:
             for store in stores.values():
                 store.faults = fault_plan
                 store.retry = fault_plan.retry
-        evaluator = None
         try:
             evaluator = _Evaluator(config, stores)
-            evaluator.fault_plan = fault_plan
-            from ..parallel import resolve_workers
-
-            evaluator.workers = resolve_workers(self.workers)
             env = self._materialize_inputs(inputs, config, stores, evaluator)
             for store in stores.values():
                 store.reset_counters()
@@ -591,8 +578,6 @@ class FileBackend:
                 config, stores, evaluator, output_card, output_bytes, wall
             )
         finally:
-            if evaluator is not None:
-                evaluator.close_pool()
             for store in stores.values():
                 store.close()
             if owns_dir and not self.keep_files:

@@ -65,11 +65,6 @@ class Rec(tuple):
         self.widths = tuple(widths)
         return self
 
-    def __getnewargs__(self):
-        # Records cross process boundaries in the partition-parallel
-        # execution lanes; the custom __new__ needs both arguments.
-        return (tuple(self), self.widths)
-
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return f"Rec{tuple(self)!r}"
 
@@ -194,10 +189,9 @@ class DeviceStore:
     def _key(handle):
         """Stable head identity for a file: its path when it has one.
 
-        Path-based keys survive the process boundary, which lets the
-        partition-parallel replay (:mod:`repro.runtime.parallel_exec`)
-        account a worker's request stream against the parent's head
-        position exactly as if the parent had issued it.
+        Every file this store opens gets a fresh path, whereas an
+        ``id`` can be reused once a released handle is collected — so a
+        path key never mistakes a new file for the old head position.
         """
         return getattr(handle, "name", None) or id(handle)
 
@@ -302,48 +296,6 @@ class DeviceStore:
         self.stats.writes += 1
         self.stats.bytes_written += len(data)
         self._head = (self._key(handle), offset + len(data))
-
-    # ------------------------------------------------------------------
-    # Phantom requests: counter-identical accounting for I/O a worker
-    # process performed on this device's behalf.  The replay walks the
-    # worker's chronological request log through these, so seeks, byte
-    # counts and request counts land exactly where serial execution
-    # would have put them; no bytes move here (they already did, in the
-    # worker).
-    # ------------------------------------------------------------------
-    def phantom_read(self, path, offset: int, nbytes: int) -> None:
-        key = (path, offset)
-        if self._head != key:
-            self.stats.seeks += 1
-            self.read_seeks += 1
-        self.stats.reads += 1
-        self.stats.bytes_read += nbytes
-        self._head = (path, offset + nbytes)
-
-    def phantom_write(self, path, offset: int, nbytes: int) -> None:
-        key = (path, offset)
-        if self._head != key:
-            self.stats.seeks += 1
-            self.write_seeks += 1
-        self.stats.writes += 1
-        self.stats.bytes_written += nbytes
-        self._head = (path, offset + nbytes)
-
-    def phantom_release(self, path) -> None:
-        if self._head is not None and self._head[0] == path:
-            self._head = None
-
-    def flush_all(self) -> None:
-        """Flush every open handle's userspace buffer to the OS.
-
-        Worker processes read the device's files by path; anything still
-        sitting in a parent ``w+b`` buffer would be invisible to them.
-        """
-        for handle in self._handles:
-            try:
-                handle.flush()
-            except (OSError, ValueError):  # pragma: no cover - best effort
-                pass
 
     def release(self, handle) -> None:
         """Close and delete a superseded scratch file.

@@ -56,10 +56,6 @@ def _as_list(value):
 class PrimitiveLibrary:
     """Concrete out-of-core primitives over the block filestore."""
 
-    #: sentinel returned by :meth:`maybe_parallel_flatmap` when the loop
-    #: must run serially; generated code tests ``par is rt.NOT_PARALLEL``.
-    NOT_PARALLEL = object()
-
     def __init__(
         self,
         config: ExecutionConfig,
@@ -72,69 +68,6 @@ class PrimitiveLibrary:
         self.budget = float(config.hierarchy.root.size)
         self.iterations = 0.0
         self.hashes = 0.0
-        #: resolved partition-parallel worker count (1 = serial); the
-        #: backend sets it per run from its ``workers=`` option.
-        self.workers = 1
-        #: the run's fault-injection plan (DESIGN.md §16); the backend
-        #: sets it per run, worker dispatch derives child plans from it.
-        self.fault_plan = None
-        self._pool = None
-
-    # ------------------------------------------------------------------
-    def worker_pool(self):
-        """The lazily created per-run worker pool (``None`` = serial).
-
-        One pool serves every parallel dispatch of a run — a multi-level
-        external sort would otherwise pay pool construction per level.
-        Construction failure permanently degrades the run to serial.
-        """
-        if self.workers <= 1:
-            return None
-        if self._pool is None:
-            from ..parallel import WorkerPool
-
-            try:
-                self._pool = WorkerPool(self.workers)
-            except Exception:  # lint: allow-broad-except
-                self.workers = 1
-                return None
-        return self._pool
-
-    def close_pool(self) -> None:
-        if self._pool is not None:
-            self._pool.close()
-            self._pool = None
-
-    def __enter__(self) -> "PrimitiveLibrary":
-        return self
-
-    def __exit__(self, *exc) -> None:
-        # Backends close in their own ``finally``; the context-manager
-        # form exists for direct library users, and the pool registry in
-        # :mod:`repro.parallel` catches whatever both paths miss at
-        # interpreter exit.
-        self.close_pool()
-
-    # ------------------------------------------------------------------
-    def maybe_parallel_flatmap(self, fn, source, env: dict, sink):
-        """Run a flatMap's element loop on worker processes if eligible.
-
-        Returns the sink (or its finished list when ``sink`` is None)
-        after an event-log replay that leaves every counter identical
-        to the serial loop, or :data:`NOT_PARALLEL` — in which case the
-        caller MUST run the serial loop (the sink is untouched).
-        """
-        if self.workers <= 1 or not self.stores:
-            return self.NOT_PARALLEL
-        from .parallel_exec import parallel_flatmap
-
-        own_sink = sink if sink is not None else self._builder("flatmap")
-        result = parallel_flatmap(self, fn, source, env, own_sink)
-        if result is self.NOT_PARALLEL:
-            return self.NOT_PARALLEL
-        if sink is not None:
-            return sink
-        return own_sink.finish()
 
     # ------------------------------------------------------------------
     def spill_store(self) -> DeviceStore:
@@ -274,36 +207,20 @@ class PrimitiveLibrary:
                 segments[base : base + arity]
                 for base in range(0, len(segments), arity)
             ]
-            counts = self.NOT_PARALLEL
-            if self.workers > 1 and len(groups) > 1:
-                # Run production in parallel: each group's merge is
-                # independent; the replay appends every merged value to
-                # this level's real writer in group order, so flush
-                # offsets and seek interleavings stay serial-identical.
-                from .parallel_exec import parallel_merge_level
-
-                counts = parallel_merge_level(
-                    self, groups, block_in, writer
-                )
             new_segments: list[tuple] = []
             written = 0
-            if counts is not self.NOT_PARALLEL:
-                for count in counts:
-                    new_segments.append((None, written, count))
-                    written += count
-            else:
-                for group in groups:
-                    streams = [
-                        self._segment_stream(lst, start, length, block_in)
-                        for lst, start, length in group
-                    ]
-                    count = 0
-                    for value in heapq.merge(*streams):
-                        writer.append(value)
-                        count += 1
-                        self.iterations += 1
-                    new_segments.append((None, written, count))
-                    written += count
+            for group in groups:
+                streams = [
+                    self._segment_stream(lst, start, length, block_in)
+                    for lst, start, length in group
+                ]
+                count = 0
+                for value in heapq.merge(*streams):
+                    writer.append(value)
+                    count += 1
+                    self.iterations += 1
+                new_segments.append((None, written, count))
+                written += count
             level = writer.finish(sorted=True)
             segments = [
                 (level, start, length)

@@ -64,12 +64,6 @@ class SearchTask:
     * ``cost`` — full costing: estimate + tuned parameters, memoized;
       ``None`` when the program cannot be costed or tuned feasibly;
     * ``lower_bound`` — optimistic untuned cost, ``inf`` when unusable.
-
-    ``batch_cost``/``batch_lower_bound`` are optional vectorized forms
-    (the parallel frontier coster); when absent, strategies fall back
-    to mapping the scalar closures.  A batch implementation MUST return
-    results in input order and value-equal to the scalar closures —
-    strategies rely on that for bit-identical winners.
     """
 
     spec: Node
@@ -80,26 +74,17 @@ class SearchTask:
     canonical: Callable[[Node], Node]
     cost: Callable[[Node, tuple[str, ...]], Candidate | None]
     lower_bound: Callable[[Node], float]
-    batch_cost: (
-        Callable[[list[tuple[Node, tuple[str, ...]]]], list[Candidate | None]]
-        | None
-    ) = None
-    batch_lower_bound: Callable[[list[Node]], list[float]] | None = None
 
 
 def _cost_all(
     task: "SearchTask", pending: list[tuple[Node, tuple[str, ...]]]
 ) -> list[Candidate | None]:
-    """Cost every (program, chain) pair, batched when the task can."""
-    if task.batch_cost is not None and len(pending) > 1:
-        return task.batch_cost(pending)
+    """Cost every (program, chain) pair, in order."""
     return [task.cost(program, chain) for program, chain in pending]
 
 
 def _bound_all(task: "SearchTask", programs: list[Node]) -> list[float]:
-    """Lower-bound every program, batched when the task can."""
-    if task.batch_lower_bound is not None and len(programs) > 1:
-        return task.batch_lower_bound(programs)
+    """Lower-bound every program, in order."""
     return [task.lower_bound(program) for program in programs]
 
 
@@ -126,8 +111,7 @@ class ExhaustiveBFS:
     collected batch.  Costing never feeds back into admission or
     truncation, and the batch is processed in admission order, so the
     two-pass form records the same candidates with the same order
-    counters as the interleaved seed loop — while exposing the whole
-    generation to ``SearchTask.batch_cost`` for parallel costing.
+    counters as the interleaved seed loop.
     """
 
     name: str = "exhaustive-bfs"

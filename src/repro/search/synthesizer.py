@@ -33,7 +33,7 @@ from dataclasses import dataclass, field
 from typing import Iterator
 
 from ..cost.annotated import Annot
-from ..cost.cache import CacheStats, CostMemo
+from ..cost.cache import CostMemo
 from ..cost.estimator import (
     CostEstimator,
     CostModel,
@@ -43,12 +43,10 @@ from ..cost.estimator import (
 from ..hierarchy import MemoryHierarchy
 from ..ocal.ast import Node, intern_node
 from ..ocal.interp import canonicalize_blocks
-from ..parallel import resolve_workers
 from ..rules.base import Rewrite, Rule, RuleContext
 from ..rules.engine import iter_rewrites
 from ..rules.registry import default_rules
 from .frontier import SearchLimits
-from .parallel_cost import DeferredCandidate, FrontierCoster
 from .result import Candidate, SynthesisResult
 from .strategies import SearchStrategy, SearchTask, resolve_strategy
 
@@ -66,12 +64,6 @@ class Synthesizer:
     across ``synthesize`` calls on the same instance (one memo per cost
     model), so re-running a workload — or comparing strategies via
     separate instances — is cheap and fair respectively.
-
-    ``workers`` enables parallel frontier costing: each generation's
-    candidate batch fans out over a process pool (``0`` = one worker
-    per CPU, ``1`` = serial, honoring ``REPRO_PARALLEL=0``).  Winners,
-    derivations, truncation and cost totals are bit-identical to serial
-    — see DESIGN.md §13 for the determinism argument.
     """
 
     hierarchy: MemoryHierarchy
@@ -81,7 +73,6 @@ class Synthesizer:
     max_treefold_arity: int = 64
     keep_top: int = 5
     strategy: SearchStrategy | str | None = None
-    workers: int = 1
     #: statically verify every rewrite output during search (DESIGN.md
     #: §15): type + placement passes on each candidate, hard-failing
     #: with the offending rule's name and position.  ``None`` defers to
@@ -142,41 +133,27 @@ class Synthesizer:
         if spec_candidate is None:
             raise EstimatorError("the specification program cannot be costed")
 
-        coster = self._coster_for(model, stats)
-        try:
-            batch_cost = batch_bound = None
-            if coster is not None:
-                batch_cost, batch_bound = self._batch_closures(
-                    coster, model, stats, memo
-                )
-            task = SearchTask(
-                spec=spec,
-                spec_candidate=spec_candidate,
-                limits=SearchLimits(
-                    max_depth=self.max_depth, max_programs=self.max_programs
-                ),
-                keep_top=self.keep_top,
-                expand=expand,
-                canonical=lambda program: intern_node(
-                    canonicalize_blocks(program)
-                ),
-                cost=lambda program, chain: self._cost(
-                    program, chain, model, stats, memo
-                ),
-                lower_bound=lambda program: self._lower_bound(
-                    program, model, stats, memo
-                ),
-                batch_cost=batch_cost,
-                batch_lower_bound=batch_bound,
-            )
-            state = strategy.search(task)
-        finally:
-            if coster is not None:
-                coster.close()
+        task = SearchTask(
+            spec=spec,
+            spec_candidate=spec_candidate,
+            limits=SearchLimits(
+                max_depth=self.max_depth, max_programs=self.max_programs
+            ),
+            keep_top=self.keep_top,
+            expand=expand,
+            canonical=lambda program: intern_node(
+                canonicalize_blocks(program)
+            ),
+            cost=lambda program, chain: self._cost(
+                program, chain, model, stats, memo
+            ),
+            lower_bound=lambda program: self._lower_bound(
+                program, model, stats, memo
+            ),
+        )
+        state = strategy.search(task)
 
         cache = memo.stats.since(cache_before)
-        if coster is not None:
-            cache = _merge_cache(cache, coster.cache_delta)
         runtime = time.perf_counter() - started
         return SynthesisResult(
             spec=spec,
@@ -256,105 +233,6 @@ class Synthesizer:
             )
 
     # ------------------------------------------------------------------
-    def _coster_for(
-        self, model: CostModel, stats: dict[str, float]
-    ) -> FrontierCoster | None:
-        """A frontier coster when parallel costing applies, else ``None``.
-
-        ``resolve_workers`` folds in the ``REPRO_PARALLEL`` escape hatch
-        and fork availability; pool construction failure degrades to
-        serial (never to an error).
-        """
-        effective = resolve_workers(self.workers)
-        if effective <= 1:
-            return None
-        try:
-            return FrontierCoster(model, stats, effective)
-        except Exception:  # lint: allow-broad-except
-            return None
-
-    def _batch_closures(
-        self,
-        coster: FrontierCoster,
-        model: CostModel,
-        stats: dict[str, float],
-        memo: CostMemo,
-    ):
-        """The vectorized cost/bound closures for one search task.
-
-        Small batches — and any batch after a pool failure — run the
-        serial scalar path, which is value-identical by the determinism
-        contract, so degradation is invisible to the strategy.  Programs
-        whose estimate the parent memo already holds stay in-process
-        (the lookup is cheaper than the pickle round-trip); only cold
-        candidates ship to workers.
-        """
-        broken = [False]
-
-        def rehydrate(program: Node, chain: tuple[str, ...]):
-            return self._cost(program, chain, model, stats, memo)
-
-        def batch_cost(pairs):
-            warm = [memo.has_estimate(program) for program, _ in pairs]
-            cold = [index for index, hit in enumerate(warm) if not hit]
-            if not broken[0] and len(cold) >= FrontierCoster.MIN_BATCH:
-                try:
-                    costs = coster.batch_cost(
-                        [pairs[index][0] for index in cold]
-                    )
-                except Exception:  # lint: allow-broad-except
-                    broken[0] = True
-                else:
-                    out: list = [None] * len(pairs)
-                    for index, cost in zip(cold, costs):
-                        program, chain = pairs[index]
-                        out[index] = (
-                            None
-                            if cost is None
-                            else DeferredCandidate(
-                                program, chain, cost, rehydrate
-                            )
-                        )
-                    for index, (program, chain) in enumerate(pairs):
-                        if warm[index]:
-                            out[index] = self._cost(
-                                program, chain, model, stats, memo
-                            )
-                    return out
-            return [
-                self._cost(program, chain, model, stats, memo)
-                for program, chain in pairs
-            ]
-
-        def batch_bound(programs):
-            programs = list(programs)
-            warm = [memo.has_estimate(program) for program in programs]
-            cold = [index for index, hit in enumerate(warm) if not hit]
-            if not broken[0] and len(cold) >= FrontierCoster.MIN_BATCH:
-                try:
-                    bounds = coster.batch_lower_bound(
-                        [programs[index] for index in cold]
-                    )
-                except Exception:  # lint: allow-broad-except
-                    broken[0] = True
-                else:
-                    out: list = [None] * len(programs)
-                    for index, bound in zip(cold, bounds):
-                        out[index] = bound
-                    for index, program in enumerate(programs):
-                        if warm[index]:
-                            out[index] = self._lower_bound(
-                                program, model, stats, memo
-                            )
-                    return out
-            return [
-                self._lower_bound(program, model, stats, memo)
-                for program in programs
-            ]
-
-        return batch_cost, batch_bound
-
-    # ------------------------------------------------------------------
     def memo_for_inputs(
         self,
         input_annots: dict[str, Annot],
@@ -430,18 +308,6 @@ class Synthesizer:
         except EstimatorError:
             return float("inf")
         return optimistic_cost(estimate, stats)
-
-
-def _merge_cache(parent: CacheStats, workers: CacheStats) -> CacheStats:
-    """Fold per-worker memo counters into the parent's run delta."""
-    return CacheStats(
-        parent.estimate_hits + workers.estimate_hits,
-        parent.estimate_misses + workers.estimate_misses,
-        parent.tune_hits + workers.tune_hits,
-        parent.tune_misses + workers.tune_misses,
-        parent.subtree_hits + workers.subtree_hits,
-        parent.subtree_misses + workers.subtree_misses,
-    )
 
 
 def synthesize(

@@ -258,37 +258,6 @@ def test_run_accepts_every_strategy(capsys, strategy):
     assert record["search"]["strategy"] == strategy
 
 
-def test_run_jobs_flag_flows_to_search_and_backend(capsys):
-    # --jobs is accepted on run/synth and produces a result identical
-    # to the serial one (the determinism contract, DESIGN.md §13).
-    assert cli.main(
-        ["run", "grace-join", "--scale", "validation",
-         "--backend", "file", "--jobs", "2", "--json"]
-    ) == 0
-    parallel = json.loads(capsys.readouterr().out)
-    assert cli.main(
-        ["run", "grace-join", "--scale", "validation",
-         "--backend", "file", "--json"]
-    ) == 0
-    serial = json.loads(capsys.readouterr().out)
-    assert parallel["derivation"] == serial["derivation"]
-    assert parallel["execution"]["devices"] == serial["execution"]["devices"]
-
-
-def test_exec_accepts_jobs_flag(capsys, tmp_path):
-    plan_path = str(tmp_path / "plan.json")
-    assert cli.main(
-        ["synth", "aggregation", "--save-plan", plan_path]
-    ) == 0
-    capsys.readouterr()
-    assert cli.main(
-        ["exec", "--plan", plan_path, "--backend", "file",
-         "--jobs", "2", "--json"]
-    ) == 0
-    record = json.loads(capsys.readouterr().out)
-    assert record["execution"]["elapsed"] > 0
-
-
 def test_fuzz_faults_flag_runs_the_chaos_lane(capsys):
     assert cli.main([
         "fuzz", "--faults", "7", "--seed", "0", "--count", "3",
@@ -296,12 +265,3 @@ def test_fuzz_faults_flag_runs_the_chaos_lane(capsys):
     ]) == 0
     out = capsys.readouterr().out
     assert "chaos:" in out and "recovered" in out
-
-
-def test_fuzz_workers_flag_runs_the_parity_lane(capsys):
-    assert cli.main([
-        "fuzz", "--seed", "9", "--count", "6", "--backend", "file",
-        "--workers", "2", "--depth", "0", "--no-save",
-        "--progress-every", "0",
-    ]) == 0
-    assert "parallel runs" in capsys.readouterr().out

@@ -146,3 +146,50 @@ class TestAdHocExperiments:
         result = job.run(backend="file")
         assert result.execution.backend == "file"
         assert workdir.exists() and any(workdir.iterdir())
+
+
+class TestSynthesizeAllAuto:
+    def test_parallel_zero_resolves_to_auto(self, monkeypatch):
+        # ``parallel=0`` must mean "one worker per CPU", not the old
+        # silent serial fallback: the session consults resolve_workers
+        # with the batch size, whatever this box's CPU count is.
+        import repro.api.session as session_module
+
+        seen = {}
+        real = session_module.resolve_workers
+
+        def spy(workers, task_count=None):
+            seen["args"] = (workers, task_count)
+            return real(workers, task_count)
+
+        monkeypatch.setattr(session_module, "resolve_workers", spy)
+        session = Session()
+        jobs = session.synthesize_all(
+            ["bnl-join", "grace-join"], scale="validation", parallel=0
+        )
+        assert seen["args"] == (0, 2)
+        assert [job.workload for job in jobs] == ["bnl-join", "grace-join"]
+
+    def test_batch_pool_goes_through_shared_utility(self, monkeypatch):
+        # Exactly one pool-construction path: the batch fan-out is
+        # `repro.parallel.run_tasks`, not a session-private executor.
+        import repro.api.session as session_module
+
+        seen = {}
+        real = session_module.run_tasks
+
+        def spy(fn, tasks, workers):
+            seen["workers"] = workers
+            return real(fn, tasks, workers)
+
+        monkeypatch.setattr(
+            session_module, "resolve_workers", lambda *a, **k: 2
+        )
+        monkeypatch.setattr(session_module, "run_tasks", spy)
+        session = Session()
+        jobs = session.synthesize_all(
+            ["bnl-join", "grace-join"], scale="validation", parallel=2
+        )
+        assert seen["workers"] == 2
+        assert [job.workload for job in jobs] == ["bnl-join", "grace-join"]
+        assert all(job.winner is not None for job in jobs)

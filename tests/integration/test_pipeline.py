@@ -1,14 +1,13 @@
-"""End-to-end pipeline tests: spec → synthesis → plan → simulation → C.
+"""End-to-end pipeline tests: spec → synthesis → plan → simulation.
 
 These cover the seams between packages that unit tests cannot: tuned
 parameters flowing into executable plans, semantic equivalence of the
-winner at every stage, and the C generator accepting real synthesizer
-output.
+winner at every stage.
 """
 
 import pytest
 
-from repro.codegen import compile_candidate, generate_c
+from repro.codegen import compile_candidate
 from repro.cost import atom, list_annot, tuple_annot
 from repro.hierarchy import MB, hdd_ram_hierarchy, two_hdd_hierarchy
 from repro.ocal import block_params, evaluate
@@ -89,15 +88,6 @@ class TestJoinPipeline:
             for row in evaluate(program, {"R": R, "S": S})
         }
         assert actual == expected
-
-    def test_c_generation_accepts_winner(self, join_result):
-        code = generate_c(
-            join_result.best.executable(),
-            inputs=["R", "S"],
-            elem_bytes={"R": 512, "S": 512},
-        )
-        assert "int main(" in code
-        assert "fread" in code
 
 
 class TestSortPipeline:

@@ -159,12 +159,6 @@ class TestDeterminism:
         assert logs[0] == logs[1]
         assert logs[0]  # heavy rates on a forced-out-of-core sort inject
 
-    def test_child_plans_are_reproducible_and_distinct(self):
-        parent = FaultPlan(seed=11, rates=TRANSIENT)
-        assert parent.child_doc(0) == parent.child_doc(0)
-        assert parent.child(0).seed != parent.child(1).seed
-        assert parent.child(0).fail_at == {}  # triggers stay parent-only
-
 
 class TestRecovery:
     def test_recovered_run_is_counter_identical(self, tmp_path):

@@ -1,10 +1,9 @@
 """The shared worker-pool utility (``repro.parallel``, DESIGN.md §13).
 
-Every parallel lever in the codebase — frontier costing, partition-
-parallel execution, batch synthesis — resolves its worker count and
-builds its pool through this one module, so its contract is pinned
-here: deterministic chunking, the ``REPRO_PARALLEL`` escape hatch, and
-order-preserving fan-out.
+Both pool users in the codebase — batch synthesis and the synthesis
+service — resolve their worker count and build their pool through this
+one module, so its contract is pinned here: the ``REPRO_PARALLEL``
+escape hatch, order-preserving fan-out, and pool lifecycle.
 """
 
 import os
@@ -17,7 +16,6 @@ from repro.parallel import (
     PARALLEL_ENV,
     PoolTaskTimeout,
     WorkerPool,
-    chunk_slices,
     cpu_count,
     live_pool_count,
     parallel_enabled,
@@ -73,27 +71,6 @@ class TestResolveWorkers:
         assert parallel_enabled()
         monkeypatch.delenv(PARALLEL_ENV)
         assert parallel_enabled()
-
-
-class TestChunkSlices:
-    def test_covers_range_in_order(self):
-        slices = chunk_slices(10, 3)
-        assert slices[0][0] == 0 and slices[-1][1] == 10
-        for (_, hi), (lo, _) in zip(slices, slices[1:]):
-            assert hi == lo
-
-    def test_near_equal_sizes(self):
-        sizes = [hi - lo for lo, hi in chunk_slices(11, 4)]
-        assert sum(sizes) == 11
-        assert max(sizes) - min(sizes) <= 1
-
-    def test_more_chunks_than_items(self):
-        slices = chunk_slices(2, 5)
-        assert len(slices) <= 2
-        assert all(hi > lo for lo, hi in slices)
-
-    def test_empty(self):
-        assert chunk_slices(0, 3) == []
 
 
 class TestWorkerSeed:
@@ -179,24 +156,6 @@ class TestPoolLifecycle:
                 parallel=2,
             )
         assert live_pool_count() == before
-
-    def test_primitive_library_context_manager_closes_its_pool(self):
-        from repro.hierarchy import MB, hdd_ram_hierarchy
-        from repro.runtime.accounting import ExecutionConfig
-        from repro.runtime.primitives import PrimitiveLibrary
-
-        config = ExecutionConfig(
-            hierarchy=hdd_ram_hierarchy(8 * MB), input_locations={}
-        )
-        before = live_pool_count()
-        with PrimitiveLibrary(config, stores={}) as lib:
-            lib.workers = 2
-            pool = lib.worker_pool()
-            if pool is not None:  # fork available
-                assert live_pool_count() == before + 1
-        assert live_pool_count() == before
-        if pool is not None:
-            assert pool.closed
 
     def test_shutdown_all_pools_reaps_leaked_pools(self):
         pool = WorkerPool(2)  # deliberately leaked: no close, no with
